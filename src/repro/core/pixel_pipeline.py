@@ -49,19 +49,19 @@ from ..render.backward import (
     reproject_gradients,
 )
 from ..render.compositing import (
-    ALPHA_MAX,
     ALPHA_THRESHOLD,
     T_MIN,
     CompositeCache,
 )
 from ..render.cache import RenderCache
+from ..render.flat import FlatCompositeCache
+from ..render.flat import pair_alpha as flat_pair_alpha
 from ..render.kernels import get_kernel, resolve_backend
 from ..render.kernels.candidates import (
     CandidatePairs,
     candidate_pairs,
     lattice_pair_arrays,
 )
-from ..render.kernels.vectorized import FlatCompositeCache
 from ..render.projection import ProjectedGaussians, project_gaussians
 from ..render.stats import PipelineStats
 
@@ -245,14 +245,9 @@ def render_sparse(
                                 if _atlas_mod.current.active else (None, None))
         pair_alpha = pair_clipped = None
         if n_candidates and (preemptive_alpha or kernel.wants_pair_alpha):
-            du = centres[pairs.pix, 0] - proj.mean2d[pairs.gss, 0]
-            dv = centres[pairs.pix, 1] - proj.mean2d[pairs.gss, 1]
-            d2 = du * du + dv * dv
-            sig = proj.sigma2d[pairs.gss]
-            inv_2var = 1.0 / (2.0 * sig * sig)
-            alpha_raw = proj.opacity[pairs.gss] * exp_fn(-d2 * inv_2var)
-            pair_clipped = alpha_raw > ALPHA_MAX
-            pair_alpha = np.minimum(alpha_raw, ALPHA_MAX)
+            pair_alpha, pair_clipped = flat_pair_alpha(
+                proj, centres[pairs.pix, 0], centres[pairs.pix, 1],
+                pairs.gss, exp_fn)
             if preemptive_alpha:
                 keep = pair_alpha >= alpha_threshold
                 pairs = CandidatePairs(pairs.pix[keep], pairs.gss[keep], K)

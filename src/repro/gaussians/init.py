@@ -33,7 +33,8 @@ def seed_from_rgbd(
     color_image:
         ``(H, W, 3)`` RGB in [0, 1].
     depth_image:
-        ``(H, W)`` metric depth; non-positive entries are skipped.
+        ``(H, W)`` metric depth; non-positive entries are skipped, as are
+        pixels with a non-finite depth or color.
     pixels:
         ``(K, 2)`` integer ``(u, v)`` pixel coordinates to seed from.
     initial_opacity:
@@ -52,16 +53,18 @@ def seed_from_rgbd(
     u = np.clip(pixels[:, 0], 0, camera.intrinsics.width - 1)
     v = np.clip(pixels[:, 1], 0, camera.intrinsics.height - 1)
     depth = np.asarray(depth_image, dtype=float)[v, u]
-    valid = depth > 1e-6
+    colors = np.asarray(color_image, dtype=float)[v, u]
+    # Sensor dropouts (non-finite depth or color) seed nothing.
+    valid = ((depth > 1e-6) & np.isfinite(depth)
+             & np.isfinite(colors).all(axis=-1))
     if not np.any(valid):
         return GaussianCloud.empty()
-    u, v, depth = u[valid], v[valid], depth[valid]
+    u, v, depth, colors = u[valid], v[valid], depth[valid], colors[valid]
 
     centres = np.stack([u + 0.5, v + 0.5], axis=-1)
     p_cam = camera.intrinsics.backproject(centres, depth)
     p_world = p_cam @ camera.pose_c2w[:3, :3].T + camera.pose_c2w[:3, 3]
 
-    colors = np.asarray(color_image, dtype=float)[v, u]
     # One-pixel footprint at depth z spans z / f metres.
     mean_focal = 0.5 * (camera.intrinsics.fx + camera.intrinsics.fy)
     scales = scale_factor * depth / mean_focal

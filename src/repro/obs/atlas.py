@@ -325,14 +325,15 @@ class AtlasCollector:
         np.add.at(self._frame["channels"]["atomics"], tid, touched)
         self._observed(self._stage)["atomics"] += int(touched.sum())
 
-    def observe_tile_forward(self, px: np.ndarray, n_gaussians: int,
-                             contribs: Optional[np.ndarray]) -> None:
-        """One rasterized tile of the dense pipeline's forward pass.
+    def observe_tile_forward(self, px: np.ndarray, render_tile: np.ndarray,
+                             list_lengths: np.ndarray,
+                             contribs: np.ndarray) -> None:
+        """The dense pipeline's forward pass over its rendered pixels.
 
-        ``px`` are the tile's rendered pixels, ``n_gaussians`` the length
-        of its sorted Gaussian list (every pixel α-checks the full list),
-        ``contribs`` the per-pixel contributing counts (None for a tile
-        with an empty list).
+        ``px`` are the rendered ``(K, 2)`` pixels, ``render_tile`` the
+        render tile of each, ``list_lengths`` the length of that tile's
+        sorted Gaussian list (every pixel α-checks the full list) and
+        ``contribs`` the per-pixel contributing counts.
         """
         if not self.active:
             return
@@ -345,16 +346,18 @@ class AtlasCollector:
         tid = self._tile_ids(px[:, 0], px[:, 1])
         np.add.at(ch["sampled"], tid, 1)
         obs["sampled"] += k
-        if n_gaussians:
-            np.add.at(ch["candidates"], tid, int(n_gaussians))
-            obs["candidates"] += k * int(n_gaussians)
-            atlas_tiles = np.unique(tid)
-            np.add.at(ch["gaussians"], atlas_tiles, int(n_gaussians))
-            obs["gaussians"] += int(atlas_tiles.size) * int(n_gaussians)
-        if contribs is not None:
-            contribs = np.asarray(contribs, dtype=np.int64)
-            np.add.at(ch["contribs"], tid, contribs)
-            obs["contribs"] += int(contribs.sum())
+        n_g = np.asarray(list_lengths, dtype=np.int64)
+        np.add.at(ch["candidates"], tid, n_g)
+        obs["candidates"] += int(n_g.sum())
+        # A render tile's list is counted once per atlas tile it covers.
+        n_atlas = ch["gaussians"].size
+        _, first = np.unique(np.asarray(render_tile, dtype=np.int64)
+                             * n_atlas + tid, return_index=True)
+        np.add.at(ch["gaussians"], tid[first], n_g[first])
+        obs["gaussians"] += int(n_g[first].sum())
+        contribs = np.asarray(contribs, dtype=np.int64)
+        np.add.at(ch["contribs"], tid, contribs)
+        obs["contribs"] += int(contribs.sum())
 
     def observe_tile_backward(self, px: np.ndarray,
                               touched: np.ndarray) -> None:

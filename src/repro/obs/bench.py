@@ -502,27 +502,29 @@ def _scn_kernels(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
         "wall.reference_s": walls["reference"],
         "wall.vectorized_s": walls["vectorized"],
         "wall.parallel_s": walls["parallel"],
-        "speedup.vectorized_over_reference": (
-            walls["reference"] / walls["vectorized"]
-            if walls["vectorized"] else 0.0),
-        # >1 needs real cores: thread shards only overlap where numpy
-        # releases the GIL, so single-core hosts measure ~1x or below.
-        "speedup.parallel_over_vectorized": (
-            walls["vectorized"] / walls["parallel"]
-            if walls["parallel"] else 0.0),
         "workers.parallel": _KERNEL_BENCH_WORKERS,
     }
+    # Ratios only where both walls were measured: a zero wall would
+    # otherwise read as a silent 0.0 speedup.
+    if walls["reference"] > 0 and walls["vectorized"] > 0:
+        info["speedup.vectorized_over_reference"] = (
+            walls["reference"] / walls["vectorized"])
+    # >1 needs real cores: thread shards only overlap where numpy
+    # releases the GIL, so single-core hosts measure ~1x or below.
+    if walls["vectorized"] > 0 and walls["parallel"] > 0:
+        info["speedup.parallel_over_vectorized"] = (
+            walls["vectorized"] / walls["parallel"])
     # Stage-split visibility: the candidate-generation share of the
     # forward pass (projection + candidate/α-check self-time vs
     # compositing) — the target the temporal-coherence render cache
-    # attacks; tracked longitudinally per backend.
+    # attacks; tracked longitudinally per backend.  Only measured
+    # inside a tracer capture (the suite runner's); absent otherwise.
     for backend, selfs in sorted(stage_self.items()):
         candidate = (selfs.get("render.project", 0.0)
                      + selfs.get("render.alpha_check", 0.0))
-        composite = selfs.get("render.composite", 0.0)
-        total = candidate + composite
-        info[f"candidate_stage_fraction.{backend}"] = (
-            candidate / total if total else 0.0)
+        total = candidate + selfs.get("render.composite", 0.0)
+        if total > 0:
+            info[f"candidate_stage_fraction.{backend}"] = candidate / total
     return {"counters": counters, "model": {}, "info": info}
 
 

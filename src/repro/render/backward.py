@@ -1,10 +1,10 @@
 """Backward pass of the tile pipeline: reverse rasterization, aggregation,
 and re-projection (Fig. 3, bottom).
 
-Reverse rasterization walks every tile's cached composite and produces the
-pixel-Gaussian partial gradients; *aggregation* scatters them into
-per-Gaussian accumulators (``np.add.at`` plays the role of ``atomicAdd``
-and its invocation count is recorded as the atomic-contention workload);
+Reverse rasterization turns the cached composite into the pixel-Gaussian
+partial gradients; *aggregation* sums them into per-Gaussian accumulators
+(the role of ``atomicAdd``; the contributing-pair count is recorded as the
+atomic-contention workload);
 *re-projection* finally maps the 2D splat gradients through the projection
 into world-space parameter gradients and, for tracking, the camera-twist
 gradient.
@@ -21,9 +21,9 @@ from ..gaussians.model import GaussianCloud
 from ..gaussians.se3 import point_jacobian_wrt_twist
 from ..obs import trace
 from ..obs import atlas as _atlas_mod
-from .compositing import T_MIN, composite_backward
+from .flat import pair_partials
 from .projection import ProjectedGaussians
-from .rasterize import RenderResult
+from .rasterize import RenderResult, TileComposite
 from .stats import PipelineStats
 
 __all__ = ["RenderGradients", "ProjectedGradients", "backward_full",
@@ -147,6 +147,40 @@ def reproject_gradients(
     return out
 
 
+def _entry_sums(tc: TileComposite, values: np.ndarray, num_entries: int,
+                pairwise: bool) -> np.ndarray:
+    """Level one of the gradient reduction: per table entry, the sum of
+    its pairs' partials over the tile's pixels, in pixel order.
+
+    The tile loop reduced each tile's ``(pixels, list)`` partial block
+    with ``.sum(axis=0)``; numpy evaluates that sequentially down the
+    pixels — except for a one-Gaussian tile, whose ``(P, 1)`` block it
+    sums pairwise.  ``pairwise=True`` reproduces that exception (the
+    color channel came from an einsum, which is sequential throughout).
+    Zero partials of the tile's other pixels leave either order's
+    nonzero sums unchanged.
+    """
+    sums = np.bincount(tc.pair_entry, weights=values, minlength=num_entries)
+    if not pairwise:
+        return sums
+    one = (tc.list_lengths == 1) & (tc.tile_pixels >= 8)
+    if not one.any():
+        return sums
+    tile_of_pair = tc.pixel_tile[tc.flat.pix]
+    starts = np.cumsum(tc.tile_pixels) - tc.tile_pixels
+    list_starts = np.cumsum(tc.list_lengths) - tc.list_lengths
+    for n in np.unique(tc.tile_pixels[one]):
+        tiles = np.nonzero(one & (tc.tile_pixels == n))[0]
+        row = np.full(tc.tile_pixels.size, -1)
+        row[tiles] = np.arange(tiles.size)
+        sel = row[tile_of_pair] >= 0
+        block = np.zeros((tiles.size, n))
+        block[row[tile_of_pair[sel]],
+              tc.flat.pix[sel] - starts[tile_of_pair[sel]]] = values[sel]
+        sums[list_starts[tiles]] = block.sum(axis=1)
+    return sums
+
+
 def backward_full(
     result: RenderResult,
     cloud: GaussianCloud,
@@ -160,6 +194,11 @@ def backward_full(
     ``d_color`` is ``(H, W, 3)``; ``d_depth`` and ``d_silhouette`` are
     ``(H, W)`` (pass zeros for unused channels).  The forward pass must
     have been run with ``keep_cache=True``.
+
+    Pair partials come from the flat composite core; aggregation runs in
+    the tile loop's two levels — per (tile, Gaussian) entry over the
+    tile's pixels, then per Gaussian across tiles in tile order — so
+    every gradient is bit-identical to the per-tile loop's.
     """
     proj = result.proj
     pg = ProjectedGradients.zeros(len(proj))
@@ -173,46 +212,60 @@ def backward_full(
         num_pixels=result.grid.width * result.grid.height,
         record_per_pixel=result.stats.record_per_pixel,
     )
-    record = stats.record_per_pixel
+    tc = result.composite
 
     with trace.span("render.tile_bwd", pipeline="tile",
                     gaussians=len(cloud)):
-        for tile, idx in enumerate(result.sorted_lists):
-            cache = result.caches[tile]
-            if cache is None or idx.size == 0:
-                continue
-            px = result.tile_pixels[tile]
-            u, v = px[:, 0], px[:, 1]
-            pair = composite_backward(
-                cache,
-                proj.mean2d[idx],
-                proj.sigma2d[idx],
-                proj.depth[idx],
-                proj.opacity[idx],
-                proj.color[idx],
-                d_color[v, u],
-                d_depth[v, u],
-                d_silhouette[v, u],
-            )
-            pg.accumulate(idx, pair)
-            # The tile backward re-runs alpha-checking against the cached
-            # tile-Gaussian sorted list (Sec. II-B).
-            stats.num_candidate_pairs += px.shape[0] * idx.size
-            stats.num_alpha_checks += px.shape[0] * idx.size
-            stats.num_contrib_pairs += pair.num_pairs_touched
-            stats.num_atomic_adds += pair.num_pairs_touched
-            if _atlas_mod.current.active:
-                _atlas_mod.current.observe_tile_backward(px, cache.contrib.sum(axis=1))
-            if record:
-                serial_len = int((cache.gamma >= T_MIN).sum(axis=1).max())
-                stats.tile_work.append((idx.size, px.shape[0], serial_len))
-                stats.per_pixel_contribs.extend(
-                    int(c) for c in cache.contrib.sum(axis=1))
-                for p in range(px.shape[0]):
-                    stats.pixel_contrib_ids.append(
-                        result.proj.source_index[idx[cache.contrib[p]]])
+        if tc is not None and tc.active_tiles.any():
+            u, v = tc.pixels[:, 0], tc.pixels[:, 1]
+            part = pair_partials(tc.flat, proj, d_color[v, u], d_depth[v, u],
+                                 d_silhouette[v, u])
+            table = result.table
+            E, M = table.num_pairs, len(proj)
+
+            def aggregate(values, pairwise=True):
+                # Level two: across tiles, in tile order (table order).
+                return np.bincount(
+                    table.gauss, minlength=M,
+                    weights=_entry_sums(tc, values, E, pairwise))
+
+            pg.d_mean2d[:, 0] = aggregate(part.d_mean_u)
+            pg.d_mean2d[:, 1] = aggregate(part.d_mean_v)
+            pg.d_sigma2d[:] = aggregate(part.d_sigma2d)
+            pg.d_opacity[:] = aggregate(part.d_opacity)
+            for c in range(3):
+                pg.d_color[:, c] = aggregate(part.d_color[c],
+                                             pairwise=False)
+            pg.d_depth[:] = aggregate(part.d_depth)
+            _backward_stats(tc, proj, stats)
 
         with trace.span("render.reproject"):
             grads = reproject_gradients(proj, cloud, camera, pg)
     grads.stats = stats
     return grads
+
+
+def _backward_stats(tc: TileComposite, proj: ProjectedGaussians,
+                    stats: PipelineStats) -> None:
+    """Tile-loop counters, records and atlas channels of the backward pass:
+    the tile backward re-runs α-checking against each cached tile list
+    (Sec. II-B)."""
+    active = tc.active_tiles
+    cells = int((tc.tile_pixels * tc.list_lengths)[active].sum())
+    stats.num_candidate_pairs += cells
+    stats.num_alpha_checks += cells
+    contribs = tc.flat.contribs()
+    touched = int(contribs.sum())
+    stats.num_contrib_pairs += touched
+    stats.num_atomic_adds += touched
+    in_active = active[tc.pixel_tile]
+    if _atlas_mod.current.active:
+        _atlas_mod.current.observe_tile_backward(tc.pixels[in_active],
+                                                 contribs[in_active])
+    if stats.record_per_pixel:
+        stats.tile_work.extend(tc.tile_work)
+        stats.per_pixel_contribs.extend(contribs[in_active].tolist())
+        fc = tc.flat
+        ids = proj.source_index[fc.gss[fc.contrib]]
+        stats.pixel_contrib_ids.extend(
+            np.split(ids, np.cumsum(contribs[in_active])[:-1]))

@@ -6,12 +6,13 @@ The pixel pipeline's forward/backward passes are implemented by swappable
 - ``"reference"``  — the original per-pixel Python loop.  One
   :func:`composite_forward` / :func:`composite_backward` call per sampled
   pixel; slow, but trivially auditable.  This is the oracle.
-- ``"vectorized"`` — batched segmented kernels over a flattened CSR-style
-  (pixel, Gaussian) pair list: one global ``np.lexsort`` replaces the
-  per-pixel depth sorts, a ragged-to-padded ``cumprod`` computes every
-  pixel's transmittance prefix at once, and the backward pass produces all
-  pair gradients in one shot before a single ``np.add.at`` aggregation
-  (the scoreboard/merge-unit analogue).  Bit-identical to the reference —
+- ``"vectorized"`` — the flat composite core (:mod:`repro.render.flat`,
+  shared with the dense tile path) over a flattened CSR-style
+  (pixel, Gaussian) pair list: one global sort replaces the per-pixel
+  depth sorts, every pixel's transmittance prefix comes from one
+  list-major scan, and the backward pass produces all pair gradients in
+  one shot before a single ``np.add.at`` aggregation (the
+  scoreboard/merge-unit analogue).  Bit-identical to the reference —
   outputs, gradients, and every ``PipelineStats`` counter.
 - ``"parallel"``   — the vectorized kernels run per contiguous pixel
   shard on a persistent worker (thread) pool, standing in for the

@@ -1,19 +1,15 @@
-"""Vectorized sparse kernels: batched segmented forward/backward passes.
+"""Vectorized sparse kernels: the flat composite core over all K pixels.
 
 Executes all K pixel pipelines at once over the flattened (pixel,
 Gaussian) pair list:
 
-- one global ``np.lexsort`` on ``(pixel, depth, index)`` replaces the K
-  per-pixel depth sorts (the tie-break matches ``sort_by_depth``);
-- the ragged per-pixel segments are padded to ``(K, Lmax)`` and the
-  transmittance prefix Γ comes from a single row-wise ``cumprod``, with
-  early-termination/`t_min`/α-threshold handling as boolean masks;
-- channel sums run as row-wise ``cumsum`` prefixes — the same strictly
-  sequential reduction order :func:`composite_forward` uses, which is what
-  makes zero-padding *exact*: appending zeros to a sequential sum (or ones
-  to a product) never changes the earlier prefix values;
-- the backward pass computes every pair gradient in one shot from the
-  padded cache and aggregates per Gaussian with a single ``np.add.at``
+- one global sort on ``(pixel, depth, index)`` replaces the K per-pixel
+  depth sorts (the tie-break matches ``sort_by_depth``);
+- compositing and the per-pair gradient partials run in the flat
+  composite core (:mod:`repro.render.flat`), shared with the dense tile
+  path: elementwise over the pairs, with the per-pixel scans run list
+  position by list position in the oracle's sequential order;
+- the backward pass aggregates per Gaussian with a single ``np.add.at``
   whose (index, value) sequence — pixel-major, depth-sorted — is exactly
   the sequence the reference loop's per-pixel scatters produce.
 
@@ -25,11 +21,12 @@ numpy calls each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from ..compositing import ALPHA_MAX
+from .. import flat
+from ..flat import FlatCompositeCache
 
 __all__ = [
     "FlatCompositeCache",
@@ -42,34 +39,18 @@ __all__ = [
 ]
 
 
-@dataclass
-class FlatCompositeCache:
-    """Backward-pass state of the batched forward pass (padded layout).
+def _depth_order(proj, pix: np.ndarray, gss: np.ndarray) -> np.ndarray:
+    """Permutation sorting pairs by ``(pixel, depth, index)``.
 
-    Shapes: K pixels, Lmax = longest per-pixel candidate list, M = total
-    surviving pairs.  Rows are the sampled pixels; columns are depth-sorted
-    list positions; ``valid`` masks the padding.
+    The same order as ``np.lexsort((gss, depth[gss], pix))`` for a pair
+    list without duplicates, from one integer argsort: each projected
+    Gaussian's rank in the global ``(depth, index)`` order (the key of
+    ``sort_by_depth``) stands in for the two inner keys.
     """
-
-    centres: np.ndarray       # (K, 2) continuous pixel centres
-    lengths: np.ndarray       # (K,) per-pixel list lengths
-    gss: np.ndarray           # (M,) flat sorted projected-Gaussian indices
-    gpad: np.ndarray          # (K, Lmax) padded Gaussian indices (0-filled)
-    valid: np.ndarray         # (K, Lmax) bool — real entry vs padding
-    alpha: np.ndarray         # (K, Lmax) α, zeroed where not contributing
-    gamma: np.ndarray         # (K, Lmax) exclusive transmittance prefix
-    contrib: np.ndarray       # (K, Lmax) bool
-    clipped: np.ndarray       # (K, Lmax) bool — α hit ALPHA_MAX
-    gamma_final: np.ndarray   # (K,)
-    background: np.ndarray    # (3,)
-
-
-def _pad(flat: np.ndarray, offsets: np.ndarray, valid: np.ndarray,
-         fill) -> np.ndarray:
-    """Scatter a flat per-pair array into the (K, Lmax) padded layout."""
-    idx = np.minimum(offsets[:-1, None] + np.arange(valid.shape[1])[None, :],
-                     max(flat.shape[0] - 1, 0))
-    return np.where(valid, flat[idx], fill)
+    m = len(proj)
+    rank = np.empty(m, dtype=np.int64)
+    rank[np.lexsort((np.arange(m), proj.depth))] = np.arange(m)
+    return np.argsort(pix.astype(np.int64) * m + rank[gss])
 
 
 def forward(proj, pairs, centres, background, alpha_threshold, t_min,
@@ -86,90 +67,39 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
     channel stays bit-identical to the reference backend's.
     """
     K = pairs.num_pixels
-    M = pairs.size
     record = stats.record_per_pixel
-    if M == 0:
+    if pairs.size == 0:
         if record:
             stats.pixel_list_lengths.extend([0] * K)
             stats.per_pixel_contribs.extend([0] * K)
         return ([np.zeros(0, dtype=int) for _ in range(K)], [None] * K,
                 None)
 
-    # Segmented depth sort: pixel-major, then front-to-back, then by
-    # projected index — the exact (depth, index) key of sort_by_depth.
-    order = np.lexsort((pairs.gss, proj.depth[pairs.gss], pairs.pix))
+    order = _depth_order(proj, pairs.pix, pairs.gss)
     pix = pairs.pix[order]
     gss = pairs.gss[order]
-    lengths = np.bincount(pix, minlength=K)
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    Lmax = int(lengths.max())
-    valid = np.arange(Lmax)[None, :] < lengths[:, None]
-    gpad = _pad(gss, offsets, valid, 0)
-
     if pair_alpha is not None:
-        alpha = _pad(pair_alpha[order], offsets, valid, 0.0)
-        clipped = _pad(pair_clipped[order], offsets, valid, False)
+        alpha, clipped = pair_alpha[order], pair_clipped[order]
     else:
-        # α evaluation, elementwise identical to composite_forward's.
-        mean_u = proj.mean2d[gpad, 0]
-        mean_v = proj.mean2d[gpad, 1]
-        sig = proj.sigma2d[gpad]
-        du = centres[:, 0:1] - mean_u
-        dv = centres[:, 1:2] - mean_v
-        d2 = du * du + dv * dv
-        inv_2var = 1.0 / (2.0 * sig * sig)
-        g = exp_fn(-d2 * inv_2var)
-        alpha_raw = proj.opacity[gpad] * g
-        clipped = alpha_raw > ALPHA_MAX
-        alpha = np.minimum(alpha_raw, ALPHA_MAX)
-    passes = (alpha >= alpha_threshold) & valid
-
-    # Transmittance prefix: padding contributes a factor of 1.0, so every
-    # real prefix is untouched; cumprod is sequential like the reference's.
-    alpha_eff = np.where(passes, alpha, 0.0)
-    one_minus = 1.0 - alpha_eff
-    gamma_incl = np.cumprod(one_minus, axis=1)
-    gamma = np.concatenate([np.ones((K, 1)), gamma_incl[:, :-1]], axis=1)
-    alive = gamma_incl >= t_min
-    contrib = passes & alive
-    weight = np.where(contrib, gamma * alpha, 0.0)
-
-    # Channel sums as sequential prefix sums (zero padding is exact).
-    out_color = np.cumsum(weight[:, :, None] * proj.color[gpad],
-                          axis=1)[:, -1, :]
-    out_depth = np.cumsum(weight * proj.depth[gpad], axis=1)[:, -1]
-    out_sil = np.cumsum(weight, axis=1)[:, -1]
-    gamma_final = 1.0 - out_sil
-
-    color[:, :] = out_color + gamma_final[:, None] * background[None, :]
+        alpha, clipped = flat.pair_alpha(proj, centres[pix, 0],
+                                         centres[pix, 1], gss, exp_fn)
+    out_color, out_depth, out_sil, fc = flat.composite_pairs(
+        proj, pix, gss, alpha, clipped, centres, background,
+        alpha_threshold, t_min)
+    color[:, :] = out_color
     depth[:] = out_depth
     silhouette[:] = out_sil
 
-    contribs_row = contrib.sum(axis=1)
+    contribs_row = fc.contribs()
     stats.num_contrib_pairs += int(contribs_row.sum())
     if contribs_out is not None:
         contribs_out[:] = contribs_row
     if record:
-        stats.pixel_list_lengths.extend(int(n) for n in lengths)
-        stats.per_pixel_contribs.extend(int(c) for c in contribs_row)
+        stats.pixel_list_lengths.extend(fc.lengths.tolist())
+        stats.per_pixel_contribs.extend(contribs_row.tolist())
 
-    pixel_lists: List[np.ndarray] = np.split(gss, offsets[1:-1])
-    flat_cache: Optional[FlatCompositeCache] = None
-    if keep_cache:
-        flat_cache = FlatCompositeCache(
-            centres=centres,
-            lengths=lengths,
-            gss=gss,
-            gpad=gpad,
-            valid=valid,
-            alpha=np.where(contrib, alpha, 0.0),
-            gamma=gamma,
-            contrib=contrib,
-            clipped=clipped,
-            gamma_final=gamma_final,
-            background=background,
-        )
-    return pixel_lists, [None] * K, flat_cache
+    pixel_lists: List[np.ndarray] = np.split(gss, np.cumsum(fc.lengths)[:-1])
+    return pixel_lists, [None] * K, (fc if keep_cache else None)
 
 
 @dataclass
@@ -177,12 +107,12 @@ class PairGradients:
     """Flat per-pair gradient partials in canonical order.
 
     The pair sequence is the forward pass's global (pixel, depth, index)
-    lexsort restricted to the valid (non-padding) entries — pixel-major,
-    front-to-back.  ``scatter_pair_gradients`` consumes these with one
-    sequential ``np.add.at`` per array, so any concatenation of
-    ``PairGradients`` computed over contiguous pixel shards (in shard
-    order) reproduces the exact global accumulation sequence — the
-    software analogue of the accelerator's aggregation scoreboard.
+    sort — pixel-major, front-to-back.  ``scatter_pair_gradients``
+    consumes these with one sequential ``np.add.at`` per array, so any
+    concatenation of ``PairGradients`` computed over contiguous pixel
+    shards (in shard order) reproduces the exact global accumulation
+    sequence — the software analogue of the accelerator's aggregation
+    scoreboard.
     """
 
     idx: np.ndarray           # (P,) projected-Gaussian index per pair
@@ -198,73 +128,20 @@ class PairGradients:
 def pair_gradients(fc, proj, d_color, d_depth, d_silhouette):
     """Compute every per-pair gradient partial; no aggregation.
 
-    Every arithmetic expression mirrors :func:`composite_backward` term
-    for term (same operand values, same association order), and padding
-    only ever adds exact zeros — all math here is elementwise per pixel
-    row, so running it over a contiguous pixel shard yields bit-identical
-    values to the corresponding rows of the global pass.
+    All math is elementwise per pair or a scan within one pixel's list,
+    so running it over a contiguous pixel shard yields bit-identical
+    values to the corresponding pairs of the global pass.
     """
-    alpha = fc.alpha
-    gamma = fc.gamma
-    contrib = fc.contrib
-    weight = gamma * alpha
-    colpad = proj.color[fc.gpad]
-    depth_pad = proj.depth[fc.gpad]
-
-    # Exclusive suffix sums per channel, background folded in afterwards.
-    # Padding sits at the row tails, so after the flip it only prepends
-    # zeros to each cumsum — every real suffix value is unchanged.
-    w_c = weight[:, :, None] * colpad
-    w_d = weight * depth_pad
-    suffix_c = np.flip(np.cumsum(np.flip(w_c, axis=1), axis=1), axis=1) - w_c
-    suffix_d = np.flip(np.cumsum(np.flip(w_d, axis=1), axis=1), axis=1) - w_d
-    suffix_s = (np.flip(np.cumsum(np.flip(weight, axis=1), axis=1), axis=1)
-                - weight)
-    suffix_c = suffix_c + fc.gamma_final[:, None, None] * fc.background
-
-    one_minus = np.where(contrib, 1.0 - alpha, 1.0)
-    inv_one_minus = 1.0 / np.maximum(one_minus, 1e-12)
-
-    term_c = gamma[:, :, None] * colpad - suffix_c * inv_one_minus[:, :, None]
-    d_alpha = (d_color[:, None, 0] * term_c[:, :, 0]
-               + d_color[:, None, 1] * term_c[:, :, 1]
-               + d_color[:, None, 2] * term_c[:, :, 2])
-    d_alpha = d_alpha + d_depth[:, None] * (
-        gamma * depth_pad - suffix_d * inv_one_minus)
-    d_alpha = d_alpha + d_silhouette[:, None] * (
-        gamma - suffix_s * inv_one_minus)
-    d_alpha = np.where(contrib & ~fc.clipped, d_alpha, 0.0)
-
-    opac = proj.opacity[fc.gpad]
-    sig = proj.sigma2d[fc.gpad]
-    g = np.where(contrib, alpha / np.maximum(opac, 1e-12), 0.0)
-    d_g = d_alpha * opac
-    d_opacity = d_alpha * g
-
-    du = fc.centres[:, 0:1] - proj.mean2d[fc.gpad, 0]
-    dv = fc.centres[:, 1:2] - proj.mean2d[fc.gpad, 1]
-    inv_var = 1.0 / (sig * sig)
-    d_mean_u = d_g * g * du * inv_var
-    d_mean_v = d_g * g * dv * inv_var
-    d2 = du * du + dv * dv
-    d_sigma = d_g * g * d2 * (inv_var / sig)
-    d_color_pairs = weight[:, :, None] * d_color[:, None, :]
-    d_depth_pairs = weight * d_depth[:, None]
-
-    # Flatten over all valid pairs in row-major (= pixel-major,
-    # depth-sorted) order — the identical (index, value) sequence the
-    # reference's per-pixel np.add.at calls issue, zero-valued
-    # non-contributing pairs included.
-    sel = fc.valid
+    part = flat.pair_partials(fc, proj, d_color, d_depth, d_silhouette)
     return PairGradients(
-        idx=fc.gpad[sel],
-        d_mean2d=np.stack([d_mean_u[sel], d_mean_v[sel]], axis=-1),
-        d_sigma2d=d_sigma[sel],
-        d_opacity=d_opacity[sel],
-        d_color=d_color_pairs[sel],
-        d_depth=d_depth_pairs[sel],
-        touched=contrib.sum(axis=1),
-        contrib_flat=contrib[sel],
+        idx=fc.gss,
+        d_mean2d=np.stack([part.d_mean_u, part.d_mean_v], axis=-1),
+        d_sigma2d=part.d_sigma2d,
+        d_opacity=part.d_opacity,
+        d_color=part.d_color.T,
+        d_depth=part.d_depth,
+        touched=fc.contribs(),
+        contrib_flat=fc.contrib,
     )
 
 
@@ -289,8 +166,8 @@ def accumulate_backward_stats(stats, fc, grads: PairGradients, proj,
     stats.num_atomic_adds += total_touched
     if stats.record_per_pixel:
         nonzero = fc.lengths > 0
-        stats.pixel_list_lengths.extend(int(n) for n in fc.lengths[nonzero])
-        stats.per_pixel_contribs.extend(int(c) for c in touched[nonzero])
+        stats.pixel_list_lengths.extend(fc.lengths[nonzero].tolist())
+        stats.per_pixel_contribs.extend(touched[nonzero].tolist())
         ids = proj.source_index[fc.gss[grads.contrib_flat]]
         splits = np.cumsum(touched[nonzero])[:-1]
         stats.pixel_contrib_ids.extend(np.split(ids, splits))
@@ -298,7 +175,7 @@ def accumulate_backward_stats(stats, fc, grads: PairGradients, proj,
 
 def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
              contribs_out=None):
-    """Batched backward pass over the padded forward cache.
+    """Batched backward pass over the flat forward cache.
 
     Pair partials from :func:`pair_gradients` aggregated by the single
     pixel-major ``np.add.at`` of :func:`scatter_pair_gradients` — all
@@ -316,10 +193,10 @@ from . import KernelBackend, register_kernel  # noqa: E402
 
 register_kernel(KernelBackend(
     name="vectorized",
-    description="batched segmented numpy kernels (CSR pair list)",
+    description="batched flat composite core over the CSR pair list",
     forward=forward,
     backward=backward,
-    # The global (pixel, depth, index) lexsort fully determines the pair
+    # The global (pixel, depth, index) sort fully determines the pair
     # order on its own, so pre-sorted input buys nothing.
     needs_pixel_major_pairs=False,
     wants_pair_alpha=True,

@@ -16,7 +16,7 @@ import numpy as np
 from .projection import ProjectedGaussians
 from .tiles import IntersectionTable
 
-__all__ = ["sort_by_depth", "sort_intersection_table"]
+__all__ = ["sort_by_depth", "sort_table", "sort_intersection_table"]
 
 
 def sort_by_depth(indices: np.ndarray, depth: np.ndarray) -> np.ndarray:
@@ -39,6 +39,18 @@ def sort_by_depth(indices: np.ndarray, depth: np.ndarray) -> np.ndarray:
     return indices[order]
 
 
+def sort_table(table: IntersectionTable,
+               proj: ProjectedGaussians) -> IntersectionTable:
+    """Order every tile's entries front-to-back, in one global sort.
+
+    The key is ``(tile, depth, index)``: per tile, exactly the order of
+    :func:`sort_by_depth`.
+    """
+    order = np.lexsort((table.gauss, proj.depth[table.gauss], table.tile))
+    return IntersectionTable(grid=table.grid, tile=table.tile[order],
+                             gauss=table.gauss[order])
+
+
 def sort_intersection_table(
     table: IntersectionTable, proj: ProjectedGaussians
 ) -> List[np.ndarray]:
@@ -47,4 +59,4 @@ def sort_intersection_table(
     Returns the tile-Gaussian *sorted* list of Fig. 3, parallel to
     ``table.per_tile``.
     """
-    return [sort_by_depth(t, proj.depth) for t in table.per_tile]
+    return sort_table(table, proj).per_tile

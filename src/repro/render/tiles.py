@@ -70,32 +70,49 @@ class TileGrid:
 
 @dataclass
 class IntersectionTable:
-    """Per-tile lists of projected-Gaussian indices (into the projection)."""
+    """Tile-Gaussian intersection entries, grouped by tile.
+
+    Entry ``e`` inserts projected Gaussian ``gauss[e]`` into tile
+    ``tile[e]``; ``tile`` is non-decreasing.
+    """
 
     grid: TileGrid
-    per_tile: List[np.ndarray]
+    tile: np.ndarray    # (E,) int
+    gauss: np.ndarray   # (E,) int — index into the projection
 
     @property
     def num_pairs(self) -> int:
-        return int(sum(len(t) for t in self.per_tile))
+        return int(self.tile.size)
+
+    def list_lengths(self) -> np.ndarray:
+        """Per-tile list lengths, ``(num_tiles,)``."""
+        return np.bincount(self.tile, minlength=self.grid.num_tiles)
+
+    @property
+    def per_tile(self) -> List[np.ndarray]:
+        """Per-tile lists of projected-Gaussian indices."""
+        return np.split(self.gauss, np.cumsum(self.list_lengths())[:-1])
 
 
 def build_intersection_table(
     proj: ProjectedGaussians, grid: TileGrid
 ) -> IntersectionTable:
-    """Insert each projected Gaussian into every tile its bbox overlaps."""
-    per_tile: List[list] = [[] for _ in range(grid.num_tiles)]
-    if len(proj) > 0:
-        bbox = proj.bbox()
-        ts = grid.tile_size
-        tx0 = np.clip(np.floor(bbox[:, 0] / ts).astype(int), 0, grid.tiles_x - 1)
-        ty0 = np.clip(np.floor(bbox[:, 1] / ts).astype(int), 0, grid.tiles_y - 1)
-        tx1 = np.clip(np.floor(bbox[:, 2] / ts).astype(int), 0, grid.tiles_x - 1)
-        ty1 = np.clip(np.floor(bbox[:, 3] / ts).astype(int), 0, grid.tiles_y - 1)
-        for g in range(len(proj)):
-            for ty in range(ty0[g], ty1[g] + 1):
-                base = ty * grid.tiles_x
-                for tx in range(tx0[g], tx1[g] + 1):
-                    per_tile[base + tx].append(g)
-    arrays = [np.asarray(t, dtype=int) for t in per_tile]
-    return IntersectionTable(grid=grid, per_tile=arrays)
+    """Insert each projected Gaussian into every tile its bbox overlaps.
+
+    Within a tile, Gaussians appear in ascending projected index.
+    """
+    bbox = proj.bbox()
+    ts = grid.tile_size
+    tx0 = np.clip(np.floor(bbox[:, 0] / ts).astype(int), 0, grid.tiles_x - 1)
+    ty0 = np.clip(np.floor(bbox[:, 1] / ts).astype(int), 0, grid.tiles_y - 1)
+    tx1 = np.clip(np.floor(bbox[:, 2] / ts).astype(int), 0, grid.tiles_x - 1)
+    ty1 = np.clip(np.floor(bbox[:, 3] / ts).astype(int), 0, grid.tiles_y - 1)
+    nx = np.maximum(tx1 - tx0 + 1, 0)
+    counts = nx * np.maximum(ty1 - ty0 + 1, 0)
+    gauss = np.repeat(np.arange(len(proj)), counts)
+    local = np.arange(gauss.size) - np.repeat(np.cumsum(counts) - counts,
+                                              counts)
+    tile = ((ty0[gauss] + local // nx[gauss]) * grid.tiles_x
+            + tx0[gauss] + local % nx[gauss])
+    order = np.argsort(tile, kind="stable")
+    return IntersectionTable(grid=grid, tile=tile[order], gauss=gauss[order])

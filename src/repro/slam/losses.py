@@ -72,7 +72,9 @@ def rgbd_loss(
     Inputs are flat per-pixel arrays: color ``(K, 3)``, depth and
     silhouette ``(K,)``.  Dense images must be raveled by the caller.
     The loss is normalized by the number of *valid* pixels so sparse and
-    dense passes are on the same scale.
+    dense passes are on the same scale.  Valid pixels have a positive,
+    finite reference depth and a finite reference color (and, when
+    tracking, a well-observed rendered silhouette).
     """
     rendered_color = np.atleast_2d(np.asarray(rendered_color, dtype=float))
     rendered_depth = np.atleast_1d(np.asarray(rendered_depth, dtype=float))
@@ -82,7 +84,11 @@ def rgbd_loss(
     ref_depth = np.atleast_1d(np.asarray(ref_depth, dtype=float))
     K = rendered_depth.shape[0]
 
-    valid = ref_depth > 0.0
+    # Input policy: a pixel with a non-finite reference color or depth
+    # (sensor dropout) is masked out, like a depth hole — it must not
+    # poison the whole batch's loss and gradients.
+    valid = ((ref_depth > 0.0) & np.isfinite(ref_depth)
+             & np.isfinite(ref_color).all(axis=1))
     if tracking:
         valid = valid & (rendered_silhouette > config.silhouette_threshold)
     n_valid = int(valid.sum())

@@ -75,7 +75,8 @@ class SLAMResult:
         with trace.span("slam.eval_quality", every=every):
             for i in range(0, self.num_frames, max(every, 1)):
                 cam = Camera(sequence.intrinsics, self.est_trajectory[i])
-                res = render_full(self.cloud, cam, bg, keep_cache=False)
+                res = render_full(self.cloud, cam, bg, keep_cache=False,
+                                  record_per_pixel=False)
                 frame = sequence[i]
                 scores_psnr.append(psnr(res.color, frame.color))
                 scores_ssim.append(ssim(res.color, frame.color))
